@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hprng_baselines::GlibcRand;
-use hprng_core::CpuParallelPrng;
+use hprng_core::ExpanderLanes;
 
 fn bench_cpu_only(c: &mut Criterion) {
     const N: usize = 1_000_000;
@@ -11,9 +11,9 @@ fn bench_cpu_only(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function(BenchmarkId::from_parameter("hybrid-cpu-parallel"), |b| {
-        let gen = CpuParallelPrng::new(1, 0);
+        let lanes = ExpanderLanes::new(1);
         let mut out = vec![0u64; N];
-        b.iter(|| gen.fill(&mut out))
+        b.iter(|| lanes.fill(rayon::current_num_threads(), &mut out))
     });
 
     group.bench_function(BenchmarkId::from_parameter("glibc-rand-single"), |b| {

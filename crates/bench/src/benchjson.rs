@@ -8,7 +8,7 @@
 
 use hprng_baselines::{Kiss, Mt19937, Mt19937_64, Mwc64, SplitMix64, Xorwow};
 use hprng_core::pipeline::{Backend, CpuBackend, DeviceBackend, Engine};
-use hprng_core::{CpuParallelPrng, ExpanderWalkRng, GlibcFeed, HybridPrng, PipelineMode};
+use hprng_core::{ExpanderLanes, ExpanderWalkRng, GlibcFeed, HybridPrng, PipelineMode};
 use hprng_gpu_sim::{Device, DeviceConfig};
 use hprng_monitor::{MonitorConfig, MonitorHandle};
 use hprng_telemetry::{busy_fractions, chrome_trace, json, Recorder, Stage};
@@ -162,7 +162,6 @@ fn fnv(data: impl IntoIterator<Item = u64>) -> u64 {
 /// reported so regression dashboards can assert bit-identity across the
 /// whole matrix), photon migration across lane families.
 pub fn apps_bench(seed: u64) -> json::Value {
-    use hprng_core::ExpanderLanes;
     use hprng_listrank::{rank_on_session, LinkedList};
     use hprng_montecarlo::{run_simulation_on, RandomSupply, SimConfig, Tissue};
 
@@ -242,11 +241,6 @@ pub fn apps_bench(seed: u64) -> json::Value {
     mc_entry(
         "expander-lanes",
         run_simulation_on(&tissue, photons, &cfg, &expander_lanes),
-    );
-    let cpu_lanes = CpuParallelPrng::new(seed, 4);
-    mc_entry(
-        "cpu-parallel",
-        run_simulation_on(&tissue, photons, &cfg, &cpu_lanes),
     );
 
     let mut obj = json::Value::object();
@@ -741,13 +735,15 @@ pub fn bench_json(seed: u64, words: usize) -> json::Value {
     push("kiss", words_per_s(|| kiss.next_u64(), words));
     let mut xw = Xorwow::new(seed);
     push("xorwow", words_per_s(|| xw.next_u64(), words));
-    let cpu = CpuParallelPrng::new(seed, 0);
+    let lanes = ExpanderLanes::new(seed);
     push("cpu_parallel", {
         let start = Instant::now();
         let mut produced = 0usize;
         while produced < words {
             let take = (words - produced).min(65_536);
-            std::hint::black_box(cpu.generate(take));
+            let mut out = vec![0u64; take];
+            lanes.fill(rayon::current_num_threads(), &mut out);
+            std::hint::black_box(out);
             produced += take;
         }
         words as f64 / start.elapsed().as_secs_f64().max(1e-12)
@@ -896,7 +892,7 @@ mod tests {
             "rank hashes diverge across the sweep: {hashes:?}"
         );
         let mc = doc.get("montecarlo").and_then(|m| m.as_array()).unwrap();
-        assert_eq!(mc.len(), 2);
+        assert_eq!(mc.len(), 1);
         for row in mc {
             assert!(row.get("photons_per_s").and_then(|v| v.as_f64()).unwrap() > 0.0);
         }

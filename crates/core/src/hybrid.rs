@@ -117,10 +117,10 @@ impl HybridPrng {
 /// Algorithms 2 and 3, with one walk per device thread): a thin facade
 /// over [`Engine`] on the simulated-device backend.
 pub struct HybridSession<'a> {
-    engine: Engine<DeviceBackend<'a>>,
+    engine: Engine<DeviceBackend<&'a Device>>,
 }
 
-impl HybridSession<'_> {
+impl<'a> HybridSession<'a> {
     /// Number of device-resident walks.
     pub fn threads(&self) -> usize {
         self.engine.threads()
@@ -134,7 +134,7 @@ impl HybridSession<'_> {
     }
 
     /// The engine behind the facade, for mode introspection.
-    pub fn engine(&self) -> &Engine<DeviceBackend<'_>> {
+    pub fn engine(&self) -> &Engine<DeviceBackend<&'a Device>> {
         &self.engine
     }
 

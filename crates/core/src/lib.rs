@@ -8,8 +8,9 @@
 //!   generator. One instance per thread gives the paper's thread-safety
 //!   model on any host ("each thread performing the walk is essentially
 //!   executing independent of other threads").
-//! * [`CpuParallelPrng`] — the "our generator on a multicore CPU" variant of
-//!   §IV-A/Figure 6: a pool of independent walks driven by host threads.
+//! * [`ExpanderLanes`] — independent walks keyed by lane index; its
+//!   [`fill`](ExpanderLanes::fill) is the "our generator on a multicore
+//!   CPU" variant of §IV-A/Figure 6, one walk per host worker.
 //! * [`HybridPrng`] — the full pipeline of Algorithms 1 and 2 on the
 //!   simulated device: CPU FEED workers produce raw bits with glibc
 //!   `rand()`, asynchronous PCIe TRANSFERs ship them over, and the GENERATE
@@ -32,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod bitsource;
-mod cpu_parallel;
 mod device_baselines;
 pub mod dist;
 mod error;
@@ -45,7 +45,6 @@ pub mod seeding;
 pub mod state;
 
 pub use bitsource::{CountingBitSource, RngBitSource};
-pub use cpu_parallel::{CpuParallelPrng, CpuParallelSession};
 pub use device_baselines::{simulate_curand_device, simulate_mt_batch, DeviceSimResult};
 pub use error::HprngError;
 pub use hybrid::{HybridPrng, HybridSession, PipelineStats};
@@ -53,8 +52,6 @@ pub use ondemand::{ExpanderLanes, OnDemandRng, ScalarRng, SplitOnDemand};
 pub use params::{
     CostModel, HybridParams, HybridParamsBuilder, PipelineMode, WalkParams, WalkParamsBuilder,
 };
-pub use pipeline::{
-    Backend, BitFeed, CpuBackend, DeviceBackend, Engine, GlibcFeed, SharedDeviceBackend,
-};
+pub use pipeline::{Backend, BitFeed, CpuBackend, DeviceBackend, Engine, GlibcFeed};
 pub use rng::ExpanderWalkRng;
 pub use state::{Checkpoint, Restore, StreamState};

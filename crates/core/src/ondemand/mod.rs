@@ -12,16 +12,17 @@
 //! |------|----------|-------|
 //! | baselines | [`ScalarRng`] around any [`rand_core::RngCore`] | 1 |
 //! | host walk | [`crate::ExpanderWalkRng`] | 1 |
-//! | host parallel | [`crate::CpuParallelPrng`] sessions | `threads` |
 //! | pipeline | [`crate::pipeline::Engine`] / [`crate::HybridSession`] | `threads` |
 //!
 //! Parallel consumers that seed one independent lane per work item (the
-//! photon-migration pattern) use [`SplitOnDemand`] instead, which hands
-//! out `Send` lanes keyed by an index.
+//! photon-migration pattern, and the multicore CPU variant's bulk fill
+//! [`ExpanderLanes::fill`]) use [`SplitOnDemand`] instead, which hands out
+//! `Send` lanes keyed by an index.
 
 use crate::error::HprngError;
 use hprng_telemetry::WordTap;
 use rand_core::RngCore;
+use rayon::prelude::*;
 
 mod bits;
 
@@ -264,11 +265,13 @@ pub trait SplitOnDemand {
     fn lane(&self, index: u64) -> Self::Lane;
 }
 
-/// The workspace's default lane splitter: one [`crate::ExpanderWalkRng`]
-/// per index, seeded by [`crate::seeding::lane_seed`].
+/// The workspace's lane splitter: one [`crate::ExpanderWalkRng`] per index,
+/// seeded by [`crate::seeding::lane_seed`].
 ///
 /// This reproduces the historical per-chunk seeding of the photon
-/// migration application bit-for-bit.
+/// migration application bit-for-bit, and [`ExpanderLanes::fill`] is the
+/// paper's CPU-only variant (§IV-A, Figure 6): "each core of the CPU runs
+/// threads which perform random walks", one independent walk per worker.
 #[derive(Clone, Copy, Debug)]
 pub struct ExpanderLanes {
     seed: u64,
@@ -283,6 +286,30 @@ impl ExpanderLanes {
     /// The master seed lanes are derived from.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// Fills `out` from `lanes` walks in parallel: chunk `t` of
+    /// `out.len().div_ceil(lanes)` words is the head of [`lane`]`(t)`'s
+    /// stream, so the output depends on `(seed, lanes)` alone, never on
+    /// the rayon scheduling. Pass `rayon::current_num_threads()` for one
+    /// walk per available CPU.
+    ///
+    /// # Panics
+    /// Panics if `lanes` is zero.
+    ///
+    /// [`lane`]: SplitOnDemand::lane
+    pub fn fill(&self, lanes: usize, out: &mut [u64]) {
+        assert!(lanes > 0, "fill needs at least one lane");
+        if out.is_empty() {
+            return;
+        }
+        let chunk = out.len().div_ceil(lanes);
+        out.par_chunks_mut(chunk).enumerate().for_each(|(t, span)| {
+            let mut rng = self.lane(t as u64);
+            for slot in span {
+                *slot = rng.get_next_rand();
+            }
+        });
     }
 }
 
@@ -359,6 +386,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fill_chunks_are_lane_heads() {
+        let lanes = ExpanderLanes::new(9);
+        let mut out = vec![0u64; 1000];
+        lanes.fill(4, &mut out);
+        for (t, chunk) in out.chunks(250).enumerate() {
+            let mut lane = lanes.lane(t as u64);
+            for &v in chunk {
+                assert_eq!(v, lane.get_next_rand());
+            }
+        }
+        // Fewer words than lanes: one word from each leading lane.
+        let mut tiny = [0u64; 3];
+        lanes.fill(8, &mut tiny);
+        assert_eq!(tiny.to_vec(), vec![out[0], out[250], out[500]]);
+        lanes.fill(8, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one lane")]
+    fn fill_rejects_zero_lanes() {
+        ExpanderLanes::new(1).fill(0, &mut [0u64; 4]);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use hprng_expander::{Vertex, Walk};
 use hprng_gpu_sim::{Device, DeviceBuffer, Op, Resource, Stream, Timeline, WorkUnit};
 use hprng_telemetry::{Recorder, Stage};
 use rayon::prelude::*;
+use std::ops::Deref;
 
 /// Words of raw bits a thread consumes at initialization: one 64-bit word
 /// for the start vertex ("we need 64 random bits for each thread", §III-B)
@@ -100,12 +101,17 @@ pub trait Backend {
     }
 }
 
-/// The mutable simulated-device state shared by the borrowing
-/// [`DeviceBackend`] and the owning [`SharedDeviceBackend`]: the walk
-/// positions plus the FEED/kernel cursors of the overlap accounting. Both
-/// backends delegate to the same methods here, so their timelines and
-/// output streams are bit-identical by construction.
-struct DeviceState {
+/// The simulated-GPU backend: reproduces the exact stream/transfer/kernel
+/// accounting the monolithic `HybridSession` always performed, so
+/// timelines and stats are bit-compatible with the pre-refactor pipeline.
+///
+/// `D` is the device handle. [`crate::HybridSession`] borrows its
+/// `HybridPrng`'s device (`&Device`), so only one session per device can
+/// be open at a time; the `hprng-pool` shard workers own theirs behind an
+/// `Arc<Device>`, so their engines are `'static` and can move onto a
+/// worker thread.
+pub struct DeviceBackend<D: Deref<Target = Device>> {
+    device: D,
     params: HybridParams,
     /// Per-thread walk positions (packed vertex labels), device-resident.
     states: DeviceBuffer<u64>,
@@ -115,9 +121,12 @@ struct DeviceState {
     pending_feed_end_ns: f64,
 }
 
-impl DeviceState {
-    fn new(params: HybridParams) -> Self {
+impl<D: Deref<Target = Device>> DeviceBackend<D> {
+    /// Wraps a device handle. The caller decides when to reset the device
+    /// timeline (sessions reset it at open).
+    pub fn new(device: D, params: HybridParams) -> Self {
         Self {
+            device,
             params,
             states: DeviceBuffer::zeroed(0),
             cpu_cursor_ns: 0.0,
@@ -125,28 +134,43 @@ impl DeviceState {
         }
     }
 
-    fn record_feed(&mut self, device: &Device, words: usize) {
+    /// The underlying device (for timeline inspection and co-scheduled
+    /// application kernels).
+    pub fn device(&self) -> &Device {
+        &self.device
+    }
+}
+
+impl<D: Deref<Target = Device>> Backend for DeviceBackend<D> {
+    fn label(&self) -> &'static str {
+        "gpu-sim"
+    }
+
+    fn params(&self) -> &HybridParams {
+        &self.params
+    }
+
+    fn threads(&self) -> usize {
+        self.states.len()
+    }
+
+    fn record_feed(&mut self, words: usize) {
         let cost = &self.params.cost;
         let dur = words as f64 * cost.cpu_ns_per_word / cost.feed_workers.max(1) as f64;
         let start = self.cpu_cursor_ns;
         let end = start + dur;
-        device.record(Resource::Cpu, WorkUnit::Feed, start, end);
+        self.device
+            .record(Resource::Cpu, WorkUnit::Feed, start, end);
         self.cpu_cursor_ns = end;
         self.pending_feed_end_ns = end;
     }
 
-    fn initialize(
-        &mut self,
-        device: &Device,
-        threads: usize,
-        bits_host: &[u64],
-        recorder: &mut Recorder,
-    ) {
+    fn initialize(&mut self, threads: usize, bits_host: &[u64], recorder: &mut Recorder) {
         let gen_span = recorder.start_span(Stage::Generate, "initialize");
         self.states = DeviceBuffer::zeroed(threads);
         let words_per_thread = init_words_per_thread(&self.params);
 
-        let mut stream = Stream::new(device);
+        let mut stream = Stream::new(&self.device);
         let mut bits_dev = DeviceBuffer::zeroed(bits_host.len());
         stream.wait_until(self.pending_feed_end_ns);
         stream.h2d(bits_host, &mut bits_dev);
@@ -173,7 +197,6 @@ impl DeviceState {
 
     fn generate(
         &mut self,
-        device: &Device,
         count: usize,
         bits_host: &[u64],
         out: &mut [u64],
@@ -182,7 +205,7 @@ impl DeviceState {
         let gen_span = recorder.start_span(Stage::Generate, "next_batch");
         let words_per_thread = self.params.walk.words_per_number();
 
-        let mut stream = Stream::new(device);
+        let mut stream = Stream::new(&self.device);
         let mut bits_dev = DeviceBuffer::zeroed(bits_host.len());
         stream.wait_until(self.pending_feed_end_ns);
         stream.h2d(bits_host, &mut bits_dev);
@@ -217,146 +240,13 @@ impl DeviceState {
             recorder.finish_span(copy_span);
         }
     }
-}
-
-/// The simulated-GPU backend: wraps a [`Device`] and reproduces the exact
-/// stream/transfer/kernel accounting the monolithic `HybridSession` always
-/// performed, so timelines and stats are bit-compatible with the
-/// pre-refactor pipeline.
-pub struct DeviceBackend<'a> {
-    device: &'a Device,
-    state: DeviceState,
-}
-
-impl<'a> DeviceBackend<'a> {
-    /// Wraps a device. The caller decides when to reset the device
-    /// timeline (sessions reset it at open).
-    pub fn new(device: &'a Device, params: HybridParams) -> Self {
-        Self {
-            device,
-            state: DeviceState::new(params),
-        }
-    }
-
-    /// The underlying device (for timeline inspection and co-scheduled
-    /// application kernels).
-    pub fn device(&self) -> &'a Device {
-        self.device
-    }
-}
-
-impl Backend for DeviceBackend<'_> {
-    fn label(&self) -> &'static str {
-        "gpu-sim"
-    }
-
-    fn params(&self) -> &HybridParams {
-        &self.state.params
-    }
-
-    fn threads(&self) -> usize {
-        self.state.states.len()
-    }
-
-    fn record_feed(&mut self, words: usize) {
-        self.state.record_feed(self.device, words);
-    }
-
-    fn initialize(&mut self, threads: usize, bits_host: &[u64], recorder: &mut Recorder) {
-        self.state
-            .initialize(self.device, threads, bits_host, recorder);
-    }
-
-    fn generate(
-        &mut self,
-        count: usize,
-        bits_host: &[u64],
-        out: &mut [u64],
-        recorder: &mut Recorder,
-    ) {
-        self.state
-            .generate(self.device, count, bits_host, out, recorder);
-    }
 
     fn timeline(&self) -> Option<Timeline> {
         Some(self.device.timeline())
     }
 
     fn walk_labels(&self) -> Vec<u64> {
-        self.state.states.as_slice().to_vec()
-    }
-}
-
-/// An *owning* simulated-GPU backend: identical accounting to
-/// [`DeviceBackend`] (both delegate to the same device-state core), but it
-/// holds the [`Device`] behind an [`Arc`] instead of a borrow, so an
-/// `Engine<SharedDeviceBackend>` is `'static` and can be moved onto a
-/// worker thread — the shape the `hprng-pool` shard workers need, where a
-/// borrowed device cannot outlive its stack frame.
-pub struct SharedDeviceBackend {
-    device: std::sync::Arc<Device>,
-    state: DeviceState,
-}
-
-impl SharedDeviceBackend {
-    /// A backend owning a fresh device of the given configuration.
-    pub fn new(config: hprng_gpu_sim::DeviceConfig, params: HybridParams) -> Self {
-        Self::with_device(std::sync::Arc::new(Device::new(config)), params)
-    }
-
-    /// Wraps an existing shared device.
-    pub fn with_device(device: std::sync::Arc<Device>, params: HybridParams) -> Self {
-        Self {
-            device,
-            state: DeviceState::new(params),
-        }
-    }
-
-    /// The underlying shared device.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-}
-
-impl Backend for SharedDeviceBackend {
-    fn label(&self) -> &'static str {
-        "gpu-sim"
-    }
-
-    fn params(&self) -> &HybridParams {
-        &self.state.params
-    }
-
-    fn threads(&self) -> usize {
-        self.state.states.len()
-    }
-
-    fn record_feed(&mut self, words: usize) {
-        self.state.record_feed(&self.device, words);
-    }
-
-    fn initialize(&mut self, threads: usize, bits_host: &[u64], recorder: &mut Recorder) {
-        self.state
-            .initialize(&self.device, threads, bits_host, recorder);
-    }
-
-    fn generate(
-        &mut self,
-        count: usize,
-        bits_host: &[u64],
-        out: &mut [u64],
-        recorder: &mut Recorder,
-    ) {
-        self.state
-            .generate(&self.device, count, bits_host, out, recorder);
-    }
-
-    fn timeline(&self) -> Option<Timeline> {
-        Some(self.device.timeline())
-    }
-
-    fn walk_labels(&self) -> Vec<u64> {
-        self.state.states.as_slice().to_vec()
+        self.states.as_slice().to_vec()
     }
 }
 
@@ -509,10 +399,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_device_backend_matches_borrowed_bit_for_bit() {
-        // The owning Arc<Device> variant must reproduce the borrowed
-        // backend exactly: same numbers AND same simulated makespan, since
-        // both delegate to the same device-state core.
+    fn owned_device_handle_matches_borrowed_bit_for_bit() {
+        // The Arc<Device> handle must reproduce the borrowed one exactly:
+        // same numbers AND same simulated makespan.
         let params = HybridParams::default();
         let threads = 48;
         let init_words = threads * init_words_per_thread(&params);
@@ -522,7 +411,10 @@ mod tests {
         let device = Device::new(DeviceConfig::test_tiny());
         let mut rec = Recorder::new();
         let mut borrowed = DeviceBackend::new(&device, params);
-        let mut owned = SharedDeviceBackend::new(DeviceConfig::test_tiny(), params);
+        let mut owned = DeviceBackend::new(
+            std::sync::Arc::new(Device::new(DeviceConfig::test_tiny())),
+            params,
+        );
         borrowed.record_feed(init_words);
         owned.record_feed(init_words);
         borrowed.initialize(threads, &bits[..init_words], &mut rec);

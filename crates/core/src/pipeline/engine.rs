@@ -7,10 +7,14 @@
 //!   calling thread, exactly like the pre-refactor monolithic session.
 //!   This is the bit-exact golden reference.
 //! * **Concurrent** — the feed runs on its own producer thread, pushing
-//!   fixed-size blocks through the two-slot ping-pong
-//!   [`ring`](crate::pipeline::ring) while the caller's thread runs
-//!   GENERATE. This is the paper's overlap (§IV-A, Figure 4) with real
-//!   threads instead of simulated ones.
+//!   fixed-size blocks through the two-slot ping-pong [`ring`] while the
+//!   caller's thread runs GENERATE. This is the paper's overlap (§IV-A,
+//!   Figure 4) with real threads instead of simulated ones.
+//!
+//! Telemetry lives on the consumer thread only: every launch records
+//! exactly one `Stage::Feed` span — the inline fill in synchronous mode,
+//! the ring pull in concurrent mode — so span counts are mode-invariant
+//! and never depend on how far the producer ran ahead.
 //!
 //! Both modes consume the *same* word stream in the same order (the ring
 //! only re-chunks it), and all simulated-clock accounting happens on the
@@ -22,11 +26,11 @@ use crate::error::HprngError;
 use crate::params::PipelineMode;
 use crate::pipeline::backend::{init_words_per_thread, Backend};
 use crate::pipeline::feed::BitFeed;
-use crate::pipeline::ring::{self, RingReceiver};
 use hprng_gpu_sim::{Resource, Timeline};
 use hprng_telemetry::{Recorder, Stage, WordTap};
+use hprng_transport::ring::{self, RingReceiver};
 use hprng_transport::BlockPool;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -75,9 +79,6 @@ struct FeedWorker {
     pending: Vec<u64>,
     cursor: usize,
     join: Option<JoinHandle<()>>,
-    /// FEED spans recorded by the producer thread, on the same epoch as
-    /// the engine recorder so merged traces share one clock.
-    recorder: Arc<Mutex<Recorder>>,
     /// Block arena shared with the producer: drained blocks go back here
     /// instead of to the allocator, so steady state recycles the same
     /// `PING_PONG_SLOTS + 1` allocations forever.
@@ -85,23 +86,15 @@ struct FeedWorker {
 }
 
 impl FeedWorker {
-    fn spawn(mut feed: Box<dyn BitFeed>, epoch: Instant) -> Self {
-        let recorder = Arc::new(Mutex::new(Recorder::with_epoch(epoch)));
+    fn spawn(mut feed: Box<dyn BitFeed>) -> Self {
         let blocks = Arc::new(BlockPool::new(RING_BLOCK_WORDS, ring::PING_PONG_SLOTS + 1));
         let (tx, rx) = ring::ping_pong::<Vec<u64>>();
-        let worker_recorder = Arc::clone(&recorder);
         let worker_blocks = Arc::clone(&blocks);
         let join = std::thread::Builder::new()
             .name("hprng-feed".into())
             .spawn(move || loop {
-                let token = lock(&worker_recorder).start_span(Stage::Feed, "feed_block");
                 let mut block = worker_blocks.checkout_zeroed(RING_BLOCK_WORDS);
                 feed.fill(&mut block);
-                {
-                    let mut rec = lock(&worker_recorder);
-                    rec.finish_span(token);
-                    rec.add("feed_blocks", 1.0);
-                }
                 if tx.send(block).is_err() {
                     // Consumer gone: the engine was dropped or is shutting
                     // down. Exit quietly; the unsent block is discarded.
@@ -114,9 +107,36 @@ impl FeedWorker {
             pending: Vec::new(),
             cursor: 0,
             join: Some(join),
-            recorder,
             blocks,
         }
+    }
+
+    /// Pulls exactly `words` words off the ring, counting each block
+    /// received as `feed_blocks`. The ring re-chunks the stream, so this
+    /// yields the same prefix the inline path would have produced.
+    fn pull(&mut self, words: usize, recorder: &mut Recorder) -> Result<Vec<u64>, HprngError> {
+        let mut buf = Vec::with_capacity(words);
+        while buf.len() < words {
+            if self.cursor == self.pending.len() {
+                let block = self
+                    .rx
+                    .as_ref()
+                    .and_then(RingReceiver::recv)
+                    .ok_or(HprngError::FeedDisconnected)?;
+                recorder.add("feed_blocks", 1.0);
+                let drained = std::mem::replace(&mut self.pending, block);
+                if drained.capacity() > 0 {
+                    // Recycle the drained block to the feeder instead of
+                    // the allocator.
+                    self.blocks.give_back(drained);
+                }
+                self.cursor = 0;
+            }
+            let take = (words - buf.len()).min(self.pending.len() - self.cursor);
+            buf.extend_from_slice(&self.pending[self.cursor..self.cursor + take]);
+            self.cursor += take;
+        }
+        Ok(buf)
     }
 }
 
@@ -131,10 +151,6 @@ impl Drop for FeedWorker {
             let _ = join.join();
         }
     }
-}
-
-fn lock(recorder: &Arc<Mutex<Recorder>>) -> std::sync::MutexGuard<'_, Recorder> {
-    recorder.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The stage-decoupled pipeline: one [`BitFeed`], one [`Backend`], and the
@@ -167,9 +183,7 @@ impl<B: Backend> Engine<B> {
         let mode = mode.resolve();
         let feed_seed = feed.master_seed();
         let feed = match mode {
-            PipelineMode::Concurrent => {
-                FeedSource::Worker(FeedWorker::spawn(feed, recorder.epoch()))
-            }
+            PipelineMode::Concurrent => FeedSource::Worker(FeedWorker::spawn(feed)),
             _ => FeedSource::Inline(feed),
         };
         Self {
@@ -229,7 +243,7 @@ impl<B: Backend> Engine<B> {
     }
 
     /// Pulls exactly `words` raw words from the feed, whichever side of the
-    /// ring it lives on, and accounts them.
+    /// ring it lives on, and accounts them under one `Stage::Feed` span.
     fn take_words(&mut self, words: usize) -> Result<Vec<u64>, HprngError> {
         let buf = match &mut self.feed {
             FeedSource::Inline(feed) => {
@@ -240,29 +254,8 @@ impl<B: Backend> Engine<B> {
                 buf
             }
             FeedSource::Worker(w) => {
-                // The ring re-chunks the stream; pulling `words` here yields
-                // the same prefix the inline path would have produced.
-                let token = self.recorder.start_span(Stage::Transfer, "ring_pull");
-                let mut buf = Vec::with_capacity(words);
-                while buf.len() < words {
-                    if w.cursor == w.pending.len() {
-                        match w.rx.as_ref().and_then(RingReceiver::recv) {
-                            Some(block) => {
-                                let drained = std::mem::replace(&mut w.pending, block);
-                                if drained.capacity() > 0 {
-                                    // Recycle the drained block to the feeder
-                                    // instead of the allocator.
-                                    w.blocks.give_back(drained);
-                                }
-                                w.cursor = 0;
-                            }
-                            None => return Err(HprngError::FeedDisconnected),
-                        }
-                    }
-                    let take = (words - buf.len()).min(w.pending.len() - w.cursor);
-                    buf.extend_from_slice(&w.pending[w.cursor..w.cursor + take]);
-                    w.cursor += take;
-                }
+                let token = self.recorder.start_span(Stage::Feed, "ring_pull");
+                let buf = w.pull(words, &mut self.recorder)?;
                 self.recorder.finish_span(token);
                 buf
             }
@@ -368,16 +361,13 @@ impl<B: Backend> Engine<B> {
         self.backend.timeline()
     }
 
-    /// The engine's own telemetry so far. In concurrent mode the producer
-    /// thread's FEED spans live in a separate recorder until
-    /// [`Engine::take_telemetry`] merges them.
+    /// The engine's telemetry so far, all recorded on the consumer thread.
     pub fn telemetry(&self) -> &Recorder {
         &self.recorder
     }
 
-    /// Takes the merged telemetry out of the engine: consumer-side spans
-    /// and counters, the producer thread's FEED spans (concurrent mode),
-    /// and the stage-busy gauges (`cpu_busy`, `gpu_busy`, `sim_ns`,
+    /// Takes the telemetry out of the engine: spans and counters plus the
+    /// stage-busy gauges (`cpu_busy`, `gpu_busy`, `sim_ns`,
     /// `gnumbers_per_s`) synced from the current [`PipelineStats`].
     pub fn take_telemetry(&mut self) -> Recorder {
         let stats = self.stats();
@@ -387,12 +377,7 @@ impl<B: Backend> Engine<B> {
         self.recorder
             .set_gauge("gnumbers_per_s", stats.gnumbers_per_s);
         let epoch = self.recorder.epoch();
-        let mut out = std::mem::replace(&mut self.recorder, Recorder::with_epoch(epoch));
-        if let FeedSource::Worker(w) = &mut self.feed {
-            let worker = std::mem::replace(&mut *lock(&w.recorder), Recorder::with_epoch(epoch));
-            out.absorb(worker);
-        }
-        out
+        std::mem::replace(&mut self.recorder, Recorder::with_epoch(epoch))
     }
 
     /// Captures the engine's resumable identity: the feed's master seed,
@@ -709,21 +694,45 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_telemetry_merges_producer_spans() {
-        let mut e = engine(PipelineMode::Concurrent, 7);
-        e.initialize(32).unwrap();
-        e.try_next_batch(32).unwrap();
-        let telemetry = e.take_telemetry();
-        let feed_blocks = telemetry
-            .spans()
-            .iter()
-            .filter(|s| s.name == "feed_block")
-            .count();
-        assert!(feed_blocks > 0, "producer FEED spans missing from merge");
-        assert!(telemetry
-            .spans()
-            .iter()
-            .any(|s| s.stage == Stage::Transfer && s.name == "ring_pull"));
-        assert_eq!(telemetry.counter("numbers"), 32.0);
+    fn one_feed_span_per_launch_in_both_modes() {
+        // init + 3 batches = 4 launches over 5 100 feed words. Concurrent
+        // mode receives exactly the 5 ring blocks those words span, however
+        // far the producer ran ahead.
+        for (mode, name) in [
+            (PipelineMode::Synchronous, "feed"),
+            (PipelineMode::Concurrent, "ring_pull"),
+        ] {
+            let mut e = engine(mode, 7);
+            e.initialize(300).unwrap();
+            for _ in 0..3 {
+                e.try_next_batch(300).unwrap();
+            }
+            let stats = e.stats();
+            assert_eq!(stats.feed_words, 5_100);
+            let telemetry = e.take_telemetry();
+            let feeds: Vec<_> = telemetry
+                .spans()
+                .iter()
+                .filter(|s| s.stage == Stage::Feed)
+                .collect();
+            assert_eq!(feeds.len(), stats.iterations, "{mode:?}");
+            assert!(feeds.iter().all(|s| s.name == name), "{mode:?}");
+            assert!(
+                !telemetry.spans().iter().any(|s| s.stage == Stage::Transfer),
+                "{mode:?}: the CPU backend has no TRANSFER phase"
+            );
+            let expected_blocks = match mode {
+                PipelineMode::Concurrent => {
+                    (stats.feed_words as usize).div_ceil(RING_BLOCK_WORDS) as f64
+                }
+                _ => 0.0,
+            };
+            assert_eq!(
+                telemetry.counter("feed_blocks"),
+                expected_blocks,
+                "{mode:?}"
+            );
+            assert_eq!(telemetry.counter("numbers"), 900.0);
+        }
     }
 }

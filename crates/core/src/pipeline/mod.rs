@@ -8,8 +8,9 @@
 //!
 //! * [`BitFeed`] (with [`GlibcFeed`], [`SplitMixFeed`], [`RngFeed`]) — who
 //!   produces the raw words;
-//! * [`ring`] — the bounded ping-pong ring that models the double buffer
-//!   and carries blocks between the producer thread and the consumer;
+//! * [`hprng_transport::ring`] — the bounded ping-pong ring that models
+//!   the double buffer and carries blocks between the producer thread and
+//!   the consumer;
 //! * [`Backend`] (with [`DeviceBackend`], [`CpuBackend`]) — where the
 //!   walks advance and how the work is accounted;
 //! * [`Engine`] — the orchestrator tying them together, in synchronous
@@ -21,9 +22,7 @@
 pub mod backend;
 pub mod engine;
 pub mod feed;
-pub mod ring;
 
-pub use backend::{init_words_per_thread, Backend, CpuBackend, DeviceBackend, SharedDeviceBackend};
+pub use backend::{init_words_per_thread, Backend, CpuBackend, DeviceBackend};
 pub use engine::{Engine, PipelineStats, RING_BLOCK_WORDS};
 pub use feed::{BitFeed, GlibcFeed, RngFeed, SplitMixFeed};
-pub use ring::{ping_pong, with_capacity, RingReceiver, RingSender, SendError, PING_PONG_SLOTS};

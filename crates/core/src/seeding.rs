@@ -1,7 +1,7 @@
 //! Unified seed derivation for every generator in the crate.
 //!
-//! Both the hybrid pipeline's FEED stage and the CPU-parallel walks derive
-//! 32-bit glibc seeds from one 64-bit master seed. Historically each did it
+//! The hybrid pipeline's FEED stage and every on-demand lane derive their
+//! glibc seeds from one 64-bit master seed. Historically each did it
 //! with its own copy of the SplitMix64 finalizer, which is exactly the kind
 //! of duplication that drifts: a constant typo in one copy silently
 //! decorrelates nothing while appearing to work. This module is the single
@@ -28,16 +28,6 @@ pub fn mix64(seed: u64) -> u64 {
 #[inline]
 pub fn feed_seed(seed: u64) -> u32 {
     mix64(seed) as u32
-}
-
-/// The 32-bit glibc seed of CPU-parallel worker `t` under master `seed`.
-///
-/// Workers are decorrelated even for consecutive master seeds by xoring a
-/// golden-ratio multiple of the worker index into the SplitMix64 state
-/// before mixing — the scheme `CpuParallelPrng` has always used.
-#[inline]
-pub fn worker_seed(seed: u64, t: u64) -> u32 {
-    mix64(seed ^ t.wrapping_mul(GOLDEN_GAMMA)) as u32
 }
 
 /// The 64-bit master seed of on-demand lane `index` under master `seed`.
@@ -73,18 +63,24 @@ mod tests {
     }
 
     #[test]
-    fn worker_seed_matches_legacy_cpu_parallel_derivation() {
+    fn lane_glibc_seeds_match_the_legacy_worker_derivation() {
+        // The multicore CPU variant used to seed worker `t`'s glibc feed
+        // with this SplitMix64 expression; lane `t`'s walk must keep it.
         for seed in [0u64, 5, 9, u64::MAX] {
             for t in 0u64..8 {
                 let mut sm = SplitMix64::new(seed ^ t.wrapping_mul(GOLDEN_GAMMA));
-                assert_eq!(worker_seed(seed, t), sm.next() as u32, "seed {seed} t {t}");
+                assert_eq!(
+                    mix64(lane_seed(seed, t)) as u32,
+                    sm.next() as u32,
+                    "seed {seed} t {t}"
+                );
             }
         }
     }
 
     #[test]
-    fn worker_seeds_are_decorrelated() {
-        let seeds: Vec<u32> = (0..64).map(|t| worker_seed(7, t)).collect();
+    fn lane_glibc_seeds_are_decorrelated() {
+        let seeds: Vec<u32> = (0..64).map(|t| mix64(lane_seed(7, t)) as u32).collect();
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();

@@ -1,25 +1,52 @@
 //! Algorithm 3 over the unified on-demand contract.
 //!
 //! The host-side [`crate::fis`] module consumes packed coin *bits* from a
-//! [`BitProvider`](crate::fis::BitProvider); this module is the device
-//! discipline: every live node calls `GetNextRand()` on its own lane once
-//! per iteration — [`OnDemandRng::try_next_batch_into`] with one slot per
-//! live node — and uses the number's low bit as its coin. Routed through
-//! a pipeline `Engine` session ([`hprng_core::HybridSession`] or
+//! [`BitProvider`]; this module is the device discipline: every live node
+//! calls `GetNextRand()` on its own lane once per iteration —
+//! [`OnDemandRng::try_next_batch_into`] with one slot per live node — and
+//! uses the number's low bit as its coin. Routed through a pipeline
+//! `Engine` session ([`hprng_core::HybridSession`] or
 //! `Engine<CpuBackend>`), the FEED/TRANSFER/GENERATE stages hit the
 //! backend's timeline exactly as the paper's Figure 7 experiment demands,
 //! with no application-side gpu-sim orchestration.
 //!
-//! This path reproduces the retired `listrank::device` module's rank
-//! results bit-for-bit: the numbers a session serves depend only on the
-//! feed stream and the per-iteration batch sizes, which are identical, and
-//! the selection/splice applied here is the same fractional-independent-set
-//! step the device kernels computed.
+//! The selection/splice loop itself is [`reduce_list`]'s: this module
+//! only supplies the coins, so both paths run one implementation of the
+//! fractional-independent-set step. It reproduces the retired
+//! `listrank::device` module's rank results bit-for-bit: the numbers a
+//! session serves depend only on the feed stream and the per-iteration
+//! batch sizes, which are identical.
 
-use crate::fis::{Reduction, Removal};
+use crate::fis::{reduce_list, reinsert_ranks, BitProvider, Reduction};
 use crate::list::{LinkedList, NIL};
 use hprng_core::OnDemandRng;
-use rayon::prelude::*;
+
+/// Coins drawn from a session, one lane per live node: each iteration is a
+/// single `try_next_batch_into` call and each number's low bit is the
+/// node's coin.
+struct SessionCoins<'r, R> {
+    rng: &'r mut R,
+    numbers: Vec<u64>,
+    produced: u64,
+}
+
+impl<R: OnDemandRng> BitProvider for SessionCoins<'_, R> {
+    fn provide(&mut self, out: &mut [u8], count: usize) -> u64 {
+        let numbers = &mut self.numbers[..count];
+        self.rng
+            .try_next_batch_into(numbers)
+            .expect("live count never exceeds the session lanes");
+        for (coin, &v) in out.iter_mut().zip(numbers.iter()) {
+            *coin = (v & 1) as u8;
+        }
+        self.produced += count as u64;
+        count as u64
+    }
+
+    fn bits_produced(&self) -> u64 {
+        self.produced
+    }
+}
 
 /// Reduces `list` until at most `target` nodes remain, drawing one number
 /// per live node per iteration from `rng` (the device discipline of
@@ -45,99 +72,19 @@ pub fn reduce_on_session<R: OnDemandRng>(
         "the session needs one lane per node ({} lanes < {n} nodes)",
         rng.lanes()
     );
-
-    let mut succ = list.succ.clone();
-    let mut pred = list.pred.clone();
-    let mut dist = vec![1u32; n];
-    let mut live = vec![true; n];
-    let mut live_nodes: Vec<u32> = (0..n as u32).collect();
-    let mut removals = Vec::new();
-    let mut numbers = vec![0u64; n];
-    let mut iterations = 0usize;
-    let mut bits_consumed = 0u64;
-    let mut live_history = Vec::new();
-    let head = list.head;
-
-    while live_nodes.len() > target {
-        iterations += 1;
-        let count = live_nodes.len();
-        live_history.push(count);
-
-        // Line 4/6: each live node calls GetNextRand() — one number from
-        // each of the first `count` lanes.
-        rng.try_next_batch_into(&mut numbers[..count])
-            .expect("live count never exceeds the session lanes");
-        bits_consumed += count as u64;
-
-        // Coin per *node* (dead nodes read as 0, as do NIL boundaries).
-        let mut coins = vec![0u8; n];
-        for (k, &v) in live_nodes.iter().enumerate() {
-            coins[v as usize] = (numbers[k] & 1) as u8;
-        }
-
-        // Selection (lines 7-9): b(u)=1 ∧ b(pred)=0 ∧ b(succ)=0, never the
-        // anchors.
-        let selected: Vec<u32> = live_nodes
-            .par_iter()
-            .copied()
-            .filter(|&v| {
-                let vi = v as usize;
-                if coins[vi] != 1 {
-                    return false;
-                }
-                let p = pred[vi];
-                let s = succ[vi];
-                if p == NIL || s == NIL {
-                    return false;
-                }
-                coins[p as usize] == 0 && coins[s as usize] == 0
-            })
-            .collect();
-
-        // Splice (line 10). FIS independence makes the writes disjoint: a
-        // selected node's neighbours are unselected, so `dist[p]` read here
-        // is what a barrier-separated kernel would have read too.
-        for &v in &selected {
-            let vi = v as usize;
-            let p = pred[vi];
-            let s = succ[vi];
-            removals.push(Removal {
-                node: v,
-                pred: p,
-                succ: s,
-                dist_from_pred: dist[p as usize],
-            });
-            succ[p as usize] = s;
-            pred[s as usize] = p;
-            dist[p as usize] += dist[vi];
-            live[vi] = false;
-        }
-        live_nodes.retain(|&v| live[v as usize]);
-
-        if iterations > 64 * usize::BITS as usize {
-            break; // degenerate randomness safety valve
-        }
-    }
-
-    Reduction {
-        succ,
-        pred,
-        head,
-        dist,
-        live_count: live_nodes.len(),
-        live,
-        removals,
-        iterations,
-        bits_consumed,
-        live_history,
-    }
+    let mut coins = SessionCoins {
+        rng,
+        numbers: vec![0u64; n],
+        produced: 0,
+    };
+    reduce_list(list, target, &mut coins)
 }
 
 /// Full session-routed ranking: [`reduce_on_session`] to `n / log₂ n`
-/// nodes, a sequential sweep of the remnant (stand-in for Phase II, shared
-/// with the host path), and reverse reinsertion. Returns the ranks and the
-/// reduction for stats introspection; pipeline/timeline figures come from
-/// the session itself after the call.
+/// nodes, a sequential sweep of the remnant (stand-in for Phase II), and
+/// [`reinsert_ranks`]. Returns the ranks and the reduction for stats
+/// introspection; pipeline/timeline figures come from the session itself
+/// after the call.
 ///
 /// # Panics
 /// As [`reduce_on_session`].
@@ -153,9 +100,7 @@ pub fn rank_on_session<R: OnDemandRng>(list: &LinkedList, rng: &mut R) -> (Vec<u
         acc += red.dist[cur as usize];
         cur = red.succ[cur as usize];
     }
-    for r in red.removals.iter().rev() {
-        ranks[r.node as usize] = ranks[r.pred as usize] + r.dist_from_pred;
-    }
+    reinsert_ranks(&red, &mut ranks);
     (ranks, red)
 }
 
@@ -228,15 +173,69 @@ mod tests {
         assert_eq!(engine.stats().feed_words, LEGACY_FEED_WORDS);
     }
 
+    /// A session whose every number is odd: every live node flips heads,
+    /// so no node ever has two tails-neighbours and nothing is selected.
+    struct AllOdd {
+        lanes: usize,
+        served: u64,
+    }
+
+    impl OnDemandRng for AllOdd {
+        fn label(&self) -> &'static str {
+            "all-odd"
+        }
+
+        fn lanes(&self) -> usize {
+            self.lanes
+        }
+
+        fn try_next_batch_into(&mut self, out: &mut [u64]) -> Result<(), hprng_core::HprngError> {
+            out.fill(1);
+            self.served += out.len() as u64;
+            Ok(())
+        }
+
+        fn words_served(&self) -> u64 {
+            self.served
+        }
+    }
+
+    /// Every coin is 1, the host-side twin of [`AllOdd`].
+    struct AllHeads;
+
+    impl BitProvider for AllHeads {
+        fn provide(&mut self, out: &mut [u8], count: usize) -> u64 {
+            out[..count].fill(1);
+            count as u64
+        }
+
+        fn bits_produced(&self) -> u64 {
+            0
+        }
+    }
+
     #[test]
-    fn cpu_parallel_session_ranks_correctly() {
-        let list = LinkedList::random(3_000, &mut SplitMix64::new(3));
-        let expected = sequential_rank(&list);
-        let mut session = hprng_core::CpuParallelPrng::new(11, 3_000).on_demand_session();
+    fn constant_coins_hit_the_termination_valve() {
+        // Degenerate randomness removes nothing; the reduction must still
+        // stop (after 64 · usize::BITS + 1 fruitless iterations) instead
+        // of spinning, and ranking must stay correct on the unreduced list.
+        let list = LinkedList::random(200, &mut SplitMix64::new(4));
+        let valve = 64 * usize::BITS as usize + 1;
+
+        let mut session = AllOdd {
+            lanes: 200,
+            served: 0,
+        };
         let (ranks, red) = rank_on_session(&list, &mut session);
-        assert_eq!(ranks, expected);
-        assert!(red.live_count <= target_for(3_000));
+        assert_eq!(ranks, sequential_rank(&list));
+        assert_eq!(red.iterations, valve);
+        assert_eq!(red.live_count, 200);
+        assert!(red.removals.is_empty());
         assert_eq!(session.words_served(), red.bits_consumed);
+
+        let red = crate::fis::reduce_list(&list, target_for(200), &mut AllHeads);
+        assert_eq!(red.iterations, valve);
+        assert_eq!(red.live_count, 200);
     }
 
     #[test]

@@ -802,12 +802,12 @@ mod tests {
     }
 
     #[test]
-    fn cpu_parallel_lanes_drive_the_simulation() {
-        // Any SplitOnDemand family plugs in: here the multicore CPU
-        // generator's worker streams, one per photon chunk.
+    fn expander_lanes_under_another_seed_drive_the_simulation() {
+        // The lane family is keyed by its own master seed, independent of
+        // the config's: one walk per photon chunk.
         let tissue = Tissue::three_layer();
         let cfg = quick_config(RandomSupply::InlineHybrid);
-        let lanes = hprng_core::CpuParallelPrng::new(7, 4);
+        let lanes = ExpanderLanes::new(7);
         let out = run_simulation_on(&tissue, 5_000, &cfg, &lanes);
         assert_eq!(out.photons, 5_000);
         assert_eq!(out.clashes, 0);

@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use hprng_core::pipeline::RING_BLOCK_WORDS;
 use hprng_core::{
-    CpuBackend, Engine, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, OnDemandRng,
-    SharedDeviceBackend,
+    CpuBackend, DeviceBackend, Engine, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams,
+    OnDemandRng,
 };
-use hprng_gpu_sim::DeviceConfig;
+use hprng_gpu_sim::{Device, DeviceConfig};
 
 use crate::pool::Pool;
 
@@ -62,7 +62,7 @@ pub enum SessionKind {
         /// Pipeline parameters (batch size, warm-up, mode).
         params: HybridParams,
     },
-    /// One [`Engine`] on a [`SharedDeviceBackend`] per client: the full
+    /// One [`Engine`] on a [`DeviceBackend`] owning its device per client: the full
     /// simulated-device pipeline of Algorithms 1 and 2.
     DeviceEngine {
         /// Simulated device configuration (one device per client session).
@@ -137,7 +137,7 @@ impl SessionKind {
                 lanes,
             } => {
                 let mut engine = Engine::with_mode(
-                    SharedDeviceBackend::new(config.clone(), *params),
+                    DeviceBackend::new(Arc::new(Device::new(config.clone())), *params),
                     Box::new(GlibcFeed::from_master_seed(seed)),
                     params.mode,
                 );

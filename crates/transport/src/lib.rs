@@ -35,7 +35,7 @@
 //!   consult a process-wide hook that can stall, panic, or deny at a
 //!   named `FaultPoint`. Compiled out entirely without the feature.
 //!
-//! The pipeline engine's ring (`hprng-core::pipeline::ring`) and the
+//! The pipeline engine's FEED ring (`hprng-core`'s `Engine`) and the
 //! sharded pool (`hprng-pool`) are both thin layers over these types;
 //! their golden bit-identity suites prove the transport is invisible in
 //! the served streams.

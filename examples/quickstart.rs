@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hybrid_prng::prng::{CpuParallelPrng, ExpanderWalkRng, HybridPrng};
+use hybrid_prng::prng::{ExpanderLanes, ExpanderWalkRng, HybridPrng};
 use rand_core::RngCore;
 
 fn main() {
@@ -23,13 +23,15 @@ fn main() {
         rng.numbers_generated()
     );
 
-    // 2. The multicore CPU variant (Figure 6's subject).
-    let cpu = CpuParallelPrng::new(42, 0);
-    let batch = cpu.generate(1_000_000);
+    // 2. The multicore CPU variant (Figure 6's subject): one independent
+    //    walk per worker, each filling its own chunk.
+    let workers = rayon::current_num_threads();
+    let mut batch = vec![0u64; 1_000_000];
+    ExpanderLanes::new(42).fill(workers, &mut batch);
     println!(
         "CPU-parallel: generated {} numbers on {} worker walks; first = {:#018x}\n",
         batch.len(),
-        cpu.threads(),
+        workers,
         batch[0]
     );
 

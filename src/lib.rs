@@ -20,7 +20,8 @@
 //!   LCG, Philox, SplitMix64.
 //! * [`gpu`] — the simulated hybrid CPU+GPU platform.
 //! * [`prng`] — [`prng::ExpanderWalkRng`], [`prng::HybridPrng`] and
-//!   [`prng::CpuParallelPrng`]: the paper's generator. The stage-decoupled
+//!   [`prng::ExpanderLanes`] (whose `fill` is the multicore CPU variant):
+//!   the paper's generator. The stage-decoupled
 //!   engine behind the hybrid facade lives in [`prng::pipeline`]:
 //!   [`BitFeed`] feeders, the ping-pong TRANSFER ring, and the
 //!   [`Backend`]s ([`DeviceBackend`], [`CpuBackend`]) unified under
@@ -115,10 +116,10 @@
 //! 6. **One contract, many providers.** The [`OnDemandRng`] trait codifies
 //!    the `GetNextRand()` interface — per-call batch sizing, lane count,
 //!    word accounting, an optional quality tap — and is implemented by the
-//!    pipeline [`Engine`] on both backends, [`CpuParallelPrng`] sessions,
-//!    a single [`ExpanderWalkRng`] walk, and (via [`ScalarRng`]) every
-//!    baseline generator. [`SplitOnDemand`] families such as
-//!    [`ExpanderLanes`] hand independent lanes to parallel consumers. Both
+//!    pipeline [`Engine`] on both backends, a single [`ExpanderWalkRng`]
+//!    walk, and (via [`ScalarRng`]) every baseline generator.
+//!    [`SplitOnDemand`] families such as [`ExpanderLanes`] hand independent
+//!    lanes to parallel consumers. Both
 //!    applications ([`listrank::rank_on_session`],
 //!    [`montecarlo::run_simulation_on`]) are generic over it.
 
@@ -140,10 +141,10 @@ pub use hprng_telemetry as telemetry;
 pub use hprng_transport as transport;
 
 pub use hprng_core::{
-    Backend, BitFeed, Checkpoint, CpuBackend, CpuParallelPrng, DeviceBackend, Engine,
-    ExpanderLanes, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridParamsBuilder,
-    HybridPrng, HybridSession, OnDemandRng, PipelineMode, PipelineStats, Restore, ScalarRng,
-    SharedDeviceBackend, SplitOnDemand, StreamState, WalkParams, WalkParamsBuilder,
+    Backend, BitFeed, Checkpoint, CpuBackend, DeviceBackend, Engine, ExpanderLanes,
+    ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridParamsBuilder, HybridPrng,
+    HybridSession, OnDemandRng, PipelineMode, PipelineStats, Restore, ScalarRng, SplitOnDemand,
+    StreamState, WalkParams, WalkParamsBuilder,
 };
 pub use hprng_gpu_sim::{ConfigError, DeviceConfig, DeviceConfigBuilder};
 pub use hprng_monitor::{
@@ -222,10 +223,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub mod prelude {
     pub use crate::{Error, Result};
     pub use hprng_core::{
-        Checkpoint, CpuBackend, CpuParallelPrng, DeviceBackend, Engine, ExpanderLanes,
-        ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridPrng, HybridSession,
-        OnDemandRng, PipelineMode, Restore, ScalarRng, SharedDeviceBackend, SplitOnDemand,
-        StreamState, WalkParams,
+        Checkpoint, CpuBackend, DeviceBackend, Engine, ExpanderLanes, ExpanderWalkRng, GlibcFeed,
+        HprngError, HybridParams, HybridPrng, HybridSession, OnDemandRng, PipelineMode, Restore,
+        ScalarRng, SplitOnDemand, StreamState, WalkParams,
     };
     pub use hprng_gpu_sim::DeviceConfig;
     pub use hprng_monitor::{AlertSink, MonitorConfig, MonitorHandle};

@@ -8,7 +8,7 @@
 use hybrid_prng::gpu::Resource;
 use hybrid_prng::telemetry::{busy_fractions, chrome_trace, json, write_chrome_trace};
 use hybrid_prng::{
-    DeviceConfig, HprngError, HybridParams, HybridPrng, Recorder, Stage, WalkParams,
+    DeviceConfig, HprngError, HybridParams, HybridPrng, PipelineMode, Recorder, Stage, WalkParams,
 };
 use proptest::prelude::*;
 
@@ -142,34 +142,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Telemetry counters are not a parallel bookkeeping system that can
-    /// drift: for any session shape they equal the PipelineStats fields.
+    /// drift: for any session shape, in either explicit pipeline mode
+    /// (so a 1-CPU host, where `Auto` means synchronous, still covers the
+    /// producer thread), they equal the PipelineStats fields.
     #[test]
     fn telemetry_counters_equal_pipeline_stats(
         seed in 0u64..1_000,
         threads in 1usize..200,
         batches in 1usize..6,
     ) {
-        let mut prng = tiny_prng(seed);
-        let mut session = prng.try_session(threads).unwrap();
-        for i in 0..batches {
-            // Vary the per-call count deterministically.
-            let count = 1 + (seed as usize + i * 7) % threads;
-            session.try_next_batch(count).unwrap();
+        for mode in [PipelineMode::Synchronous, PipelineMode::Concurrent] {
+            let params = HybridParams::builder().mode(mode).build().unwrap();
+            let mut prng = HybridPrng::new(DeviceConfig::test_tiny(), params, seed);
+            let mut session = prng.try_session(threads).unwrap();
+            for i in 0..batches {
+                // Vary the per-call count deterministically.
+                let count = 1 + (seed as usize + i * 7) % threads;
+                session.try_next_batch(count).unwrap();
+            }
+            let stats = session.stats();
+            let telemetry = session.take_telemetry();
+            prop_assert_eq!(telemetry.counter("iterations"), stats.iterations as f64);
+            prop_assert_eq!(telemetry.counter("feed_words"), stats.feed_words as f64);
+            prop_assert_eq!(telemetry.counter("numbers"), stats.numbers as f64);
+            prop_assert_eq!(telemetry.gauge("cpu_busy"), Some(stats.cpu_busy));
+            prop_assert_eq!(telemetry.gauge("gpu_busy"), Some(stats.gpu_busy));
+            prop_assert_eq!(
+                telemetry.histogram("batch_latency_ns").unwrap().count(),
+                batches as u64
+            );
+            // One FEED span per kernel launch (init included), whatever
+            // the producer thread speculatively filled.
+            let feeds = telemetry.spans().iter().filter(|s| s.stage == Stage::Feed).count();
+            prop_assert_eq!(feeds, stats.iterations);
         }
-        let stats = session.stats();
-        let telemetry = session.take_telemetry();
-        prop_assert_eq!(telemetry.counter("iterations"), stats.iterations as f64);
-        prop_assert_eq!(telemetry.counter("feed_words"), stats.feed_words as f64);
-        prop_assert_eq!(telemetry.counter("numbers"), stats.numbers as f64);
-        prop_assert_eq!(telemetry.gauge("cpu_busy"), Some(stats.cpu_busy));
-        prop_assert_eq!(telemetry.gauge("gpu_busy"), Some(stats.gpu_busy));
-        prop_assert_eq!(
-            telemetry.histogram("batch_latency_ns").unwrap().count(),
-            batches as u64
-        );
-        // One FEED span per kernel launch (init included).
-        let feeds = telemetry.spans().iter().filter(|s| s.stage == Stage::Feed).count();
-        prop_assert_eq!(feeds, stats.iterations);
     }
 
     /// The busy-fraction roundtrip holds for arbitrary session shapes, not
